@@ -318,6 +318,25 @@ impl SearchTables {
         crate::weighted::run(lib, model, budget)
     }
 
+    /// Checks `budget` against the bounds the weighted search panics on
+    /// ([`generate_weighted`](Self::generate_weighted), its checkpointed
+    /// and extending siblings): at most 200, and at most 32 distinct
+    /// costs in `0..=budget` under `model` on `lib`. Conservative — it
+    /// counts every attainable sum of gate costs — so an accepted budget
+    /// never overflows the buckets. For [`CostModel::quantum`] on NCT the
+    /// largest accepted budget is 31.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the bound `budget` breaks.
+    pub fn check_weighted_budget(
+        lib: &GateLib,
+        model: &CostModel,
+        budget: u64,
+    ) -> Result<(), String> {
+        crate::weighted::check_budget(lib, model, budget)
+    }
+
     /// Gate-count generation with explicit construction knobs
     /// ([`GenOptions`]: worker threads, candidate shards, memory budget).
     /// The result is **byte-identical** for every knob setting — the

@@ -60,6 +60,45 @@ use crate::tables::SearchTables;
 /// invariant index stores per-bucket occurrence masks in a `u32`.
 pub(crate) const MAX_BUCKETS: usize = 32;
 
+/// The largest cost budget [`settle`] accepts; anything larger is taken
+/// for a unit mix-up.
+const MAX_BUDGET: u64 = 200;
+
+/// Rejects a budget that [`settle`] would panic on: above [`MAX_BUDGET`],
+/// or admitting more than [`MAX_BUCKETS`] distinct costs. Every settled
+/// cost is a sum of gate costs, so counting the attainable sums in
+/// `0..=budget` bounds the bucket count from above: an accepted budget
+/// can never overflow the buckets.
+pub(crate) fn check_budget(lib: &GateLib, model: &CostModel, budget: u64) -> Result<(), String> {
+    let gate_costs: Vec<usize> = lib
+        .iter()
+        .map(|(_, gate, _)| model.gate_cost(gate) as usize)
+        .collect();
+    let mut attainable = vec![true];
+    for c in 1..=budget.min(MAX_BUDGET) as usize {
+        attainable.push(gate_costs.iter().any(|&g| g <= c && attainable[c - g]));
+    }
+    // The (MAX_BUCKETS + 1)-th attainable cost is the first one too many.
+    if let Some((overflow, _)) = attainable
+        .iter()
+        .enumerate()
+        .filter(|&(_, &a)| a)
+        .nth(MAX_BUCKETS)
+    {
+        return Err(format!(
+            "cost budget {budget} admits more than {MAX_BUCKETS} distinct costs, the \
+             number of cost buckets the tables hold (the largest budget is {})",
+            overflow - 1
+        ));
+    }
+    if budget > MAX_BUDGET {
+        return Err(format!(
+            "cost budget {budget} is above the maximum of {MAX_BUDGET}"
+        ));
+    }
+    Ok(())
+}
+
 pub(crate) fn run(lib: GateLib, model: CostModel, budget: u64) -> SearchTables {
     let (sym, mut table, mut levels, mut costs) = seed(lib.wires());
     settle(
@@ -133,7 +172,7 @@ pub(crate) fn settle(
     mut ckpt: Option<&mut CheckpointWriter>,
 ) -> Result<(), StoreError> {
     assert!(
-        budget <= 200,
+        budget <= MAX_BUDGET,
         "cost budget {budget} looks like a unit mix-up"
     );
     let gmax = lib
@@ -325,6 +364,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn budget_check_matches_the_settle_bounds() {
+        let lib = GateLib::nct(4);
+        let quantum = CostModel::quantum();
+        // Cost-1 gates make every integer attainable: buckets 0..=31.
+        assert!(check_budget(&lib, &quantum, 31).is_ok());
+        let err = check_budget(&lib, &quantum, 32).unwrap_err();
+        assert!(err.contains("largest budget is 31"), "{err}");
+        let err = check_budget(&lib, &quantum, 201).unwrap_err();
+        assert!(err.contains("largest budget is 31"), "{err}");
+        assert!(check_budget(&lib, &CostModel::unit(), 0).is_ok());
+        // Costs in steps of 10 keep the buckets few; 200 is then the bound.
+        let coarse = CostModel::custom([10, 10, 10, 10]);
+        assert!(check_budget(&lib, &coarse, 200).is_ok());
+        let err = check_budget(&lib, &coarse, 201).unwrap_err();
+        assert!(err.contains("maximum of 200"), "{err}");
     }
 
     #[test]

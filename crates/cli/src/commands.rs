@@ -21,8 +21,6 @@ USAGE:
     revsynth <COMMAND> [OPTIONS]
 
 COMMANDS:
-    bfs        --k <K> [--n <N>] [--out <FILE>] [--threads <T>]
-               Generate the breadth-first tables and optionally save them.
     tables     generate --out <FILE> [--n <N>] [--k <K>] [--model unit|quantum]
                         [--budget <B>] [--threads <T>] [--shards <S>]
                         [--max-mem <BYTES>] [--resume] [--format v4|v5]
@@ -81,10 +79,6 @@ COMMANDS:
                Hash-table statistics (paper Table 2).
     peephole   --circuit \"<GATES>\" [--k <K>] [--window <W>] [--tables <FILE>]
                Locally-optimal compression of a long circuit (paper §1).
-    depth      --spec <P0,..,P15> [--max-depth <D>]
-               Depth-optimal synthesis over parallel layers (paper §5).
-    cost       --spec <P0,..,P15> [--model quantum|unit] [--budget <C>]
-               Cost-optimal synthesis under weighted gates (paper §5).
     serve      [--port <P>] [--cores <N>|auto] [--portable-poll]
                [--workers <W>] [--cache-capacity <C>]
                [--linger-ms <L>] [--k <K>] [--n <N>] [--tables <FILE>]
@@ -178,8 +172,8 @@ COMMANDS:
                searches.
     help       Show this message.
 
-Tables are regenerated on the fly unless --tables points at a file written
-by `revsynth bfs --out` (the paper's precompute-once workflow).";
+Tables are regenerated on the fly unless --tables points at a store written
+by `revsynth tables generate --out` (the paper's precompute-once workflow).";
 
 /// Flags that take no value (presence alone means "on").
 const SWITCHES: &[&str] = &[
@@ -317,7 +311,6 @@ pub fn dispatch(args: &[String]) -> CliResult {
     }
     let opts = Opts::parse(&args[1..])?;
     match command.as_str() {
-        "bfs" => cmd_bfs(&opts),
         "synth" => cmd_synth(&opts),
         "benchmarks" => cmd_benchmarks(&opts),
         "random" => cmd_random(&opts),
@@ -325,8 +318,6 @@ pub fn dispatch(args: &[String]) -> CliResult {
         "hard" => cmd_hard(&opts),
         "stats" => cmd_stats(&opts),
         "peephole" => cmd_peephole(&opts),
-        "depth" => cmd_depth(&opts),
-        "cost" => cmd_cost(&opts),
         "serve" => cmd_serve(&opts),
         "query" => cmd_query(&opts),
         "loadgen" => cmd_loadgen(&opts),
@@ -376,33 +367,6 @@ fn tables_from(opts: &Opts, default_k: usize) -> Result<SearchTables, Box<dyn Er
         start.elapsed()
     );
     Ok(tables)
-}
-
-fn cmd_bfs(opts: &Opts) -> CliResult {
-    opts.reject_unknown(&["k", "n", "out", "threads"])?;
-    let k: usize = opts.get_parse("k", 6)?;
-    let n: usize = opts.get_parse("n", 4)?;
-    let threads: usize = opts.get_parse("threads", 1)?;
-    let start = Instant::now();
-    let tables = if threads > 1 {
-        SearchTables::generate_parallel(revsynth_circuit::GateLib::nct(n), k, threads)
-    } else {
-        SearchTables::generate(n, k)
-    };
-    println!(
-        "generated {} classes (n = {n}, k = {k}) in {:.2?}",
-        tables.num_representatives(),
-        start.elapsed()
-    );
-    for c in tables.counts() {
-        println!("{c}");
-    }
-    if let Some(path) = opts.get("out") {
-        let start = Instant::now();
-        tables.save(path)?;
-        println!("saved to {path} in {:.2?}", start.elapsed());
-    }
-    Ok(())
 }
 
 /// Parses a byte count with optional K/M/G suffix (binary multiples).
@@ -503,8 +467,13 @@ fn tables_generate(opts: &Opts) -> CliResult {
     };
     let n: usize = opts.get_parse("n", 4)?;
     let (model, budget) = tables_target(opts)?;
+    let weighted = model != revsynth_circuit::CostModel::unit();
+    if weighted {
+        SearchTables::check_weighted_budget(&revsynth_circuit::GateLib::nct(n), &model, budget)
+            .map_err(|e| format!("--budget: {e}"))?;
+    }
     let gen = gen_options(opts)?;
-    warn_weighted_knobs(opts, model != revsynth_circuit::CostModel::unit());
+    warn_weighted_knobs(opts, weighted);
     let path = PathBuf::from(out);
     let start = Instant::now();
     // --resume: continue the store only when it actually holds completed
@@ -595,17 +564,23 @@ fn tables_extend(opts: &Opts) -> CliResult {
     let store = opts
         .get("store")
         .ok_or("tables extend needs --store <FILE>")?;
-    let mut is_v5 = false;
-    if let Ok(info) = SearchTables::peek(store) {
-        warn_weighted_knobs(opts, info.model != revsynth_circuit::CostModel::unit());
-        is_v5 = info.version >= 5;
-    }
     // The file knows its model; --k/--budget just names the target cost.
     let budget: u64 = match (opts.get("k"), opts.get("budget")) {
         (Some(k), None) => k.parse()?,
         (None, Some(b)) => b.parse()?,
         _ => return Err("tables extend needs exactly one of --k (unit) or --budget".into()),
     };
+    let mut is_v5 = false;
+    if let Ok(info) = SearchTables::peek(store) {
+        let weighted = info.model != revsynth_circuit::CostModel::unit();
+        if weighted {
+            let lib = revsynth_circuit::GateLib::nct(info.wires);
+            SearchTables::check_weighted_budget(&lib, &info.model, budget)
+                .map_err(|e| format!("--budget: {e}"))?;
+        }
+        warn_weighted_knobs(opts, weighted);
+        is_v5 = info.version >= 5;
+    }
     let gen = gen_options(opts)?;
     let start = Instant::now();
     let tables = if is_v5 {
@@ -835,7 +810,7 @@ fn cost_unit(kind: CostKind) -> &'static str {
 
 /// Builds the engine for the selected cost model. Gates reuses the
 /// standard tables (`--k`/`--tables`); quantum loads `--tables` (which
-/// must be a quantum-cost store — format v3 round-trips the model) or
+/// must be a quantum-cost store — every store format records its model) or
 /// generates cost-bucketed tables to `--cost-budget` (default 13);
 /// depth generates the layer tables to `--cost-budget` layers (default
 /// 3). Flags meaningless under the selected model are rejected instead
@@ -881,13 +856,13 @@ fn cost_synthesizer(
             }
             let n: usize = opts.get_parse("n", 4usize)?;
             let budget: u64 = opts.get_parse("cost-budget", 13u64)?;
+            let lib = revsynth_circuit::GateLib::nct(n);
+            let model = revsynth_circuit::CostModel::quantum();
+            SearchTables::check_weighted_budget(&lib, &model, budget)
+                .map_err(|e| format!("--cost-budget: {e}"))?;
             eprintln!("generating quantum-cost tables (n = {n}, budget {budget}) ...");
             let start = Instant::now();
-            let tables = SearchTables::generate_weighted(
-                revsynth_circuit::GateLib::nct(n),
-                revsynth_circuit::CostModel::quantum(),
-                budget,
-            );
+            let tables = SearchTables::generate_weighted(lib, model, budget);
             eprintln!(
                 "  {} classes (reach {}) in {:.2?}",
                 tables.num_representatives(),
@@ -904,16 +879,17 @@ fn cost_synthesizer(
             }
             let n: usize = opts.get_parse("n", 4usize)?;
             let budget: usize = opts.get_parse("cost-budget", 3usize)?;
+            let config = SuiteConfig {
+                depth_budget: budget,
+                ..SuiteConfig::default()
+            };
+            config
+                .validate(&revsynth_circuit::GateLib::nct(n))
+                .map_err(|e| format!("--cost-budget: {e}"))?;
             eprintln!("generating depth tables (n = {n}, {budget} layers) ...");
             // A k=1 gate table keeps suite construction trivial; only
             // the depth engine is exercised.
-            let suite = SynthesisSuite::new(
-                Synthesizer::from_scratch(n, 1),
-                SuiteConfig {
-                    depth_budget: budget,
-                    ..SuiteConfig::default()
-                },
-            );
+            let suite = SynthesisSuite::new(Synthesizer::from_scratch(n, 1), config);
             Ok(CostEngine::Depth(Box::new(suite)))
         }
     }
@@ -1117,55 +1093,6 @@ fn cmd_peephole(opts: &Opts) -> CliResult {
     Ok(())
 }
 
-fn cmd_depth(opts: &Opts) -> CliResult {
-    opts.reject_unknown(&["spec", "max-depth", "n"])?;
-    let spec = opts
-        .get("spec")
-        .ok_or("depth needs --spec 0,1,2,...,15 (a permutation value list)")?;
-    let f = parse_spec(spec)?;
-    let n: usize = opts.get_parse("n", 4)?;
-    let max_depth: usize = opts.get_parse("max-depth", 3)?;
-    eprintln!("generating depth tables (n = {n}, max depth {max_depth}) ...");
-    let synth =
-        revsynth_core::DepthSynthesizer::generate(revsynth_circuit::GateLib::nct(n), max_depth);
-    let circuit = synth.try_synthesize(f)?;
-    println!("function : {f}");
-    println!(
-        "depth    : {} time steps (provably minimal)",
-        circuit.depth()
-    );
-    println!("gates    : {}", circuit.len());
-    println!("circuit  : {circuit}");
-    Ok(())
-}
-
-fn cmd_cost(opts: &Opts) -> CliResult {
-    opts.reject_unknown(&["spec", "model", "budget", "n"])?;
-    let spec = opts
-        .get("spec")
-        .ok_or("cost needs --spec 0,1,2,...,15 (a permutation value list)")?;
-    let f = parse_spec(spec)?;
-    let n: usize = opts.get_parse("n", 4)?;
-    let budget: u64 = opts.get_parse("budget", 16)?;
-    let model = match opts.get("model").unwrap_or("quantum") {
-        "quantum" => revsynth_circuit::CostModel::quantum(),
-        "unit" => revsynth_circuit::CostModel::unit(),
-        other => return Err(format!("unknown cost model `{other}` (quantum|unit)").into()),
-    };
-    eprintln!("generating cost tables (n = {n}, budget {budget}) ...");
-    let synth =
-        revsynth_core::CostSynthesizer::generate(revsynth_circuit::GateLib::nct(n), model, budget);
-    let circuit = synth.try_synthesize(f)?;
-    println!("function : {f}");
-    println!(
-        "cost     : {} (provably minimal under the model)",
-        circuit.cost(&model)
-    );
-    println!("gates    : {}", circuit.len());
-    println!("circuit  : {circuit}");
-    Ok(())
-}
-
 /// Default service port (rev-synth on a phone keypad, more or less).
 const DEFAULT_PORT: u16 = 7878;
 
@@ -1264,6 +1191,9 @@ fn cmd_serve(opts: &Opts) -> CliResult {
         quantum_budget: opts.get_parse("quantum-budget", 13u64)?,
         depth_budget: opts.get_parse("depth-budget", 3usize)?,
     };
+    // The sibling engines are built on first use; a budget they would
+    // panic on must fail here, before any table is built or port bound.
+    suite_config.validate(&revsynth_circuit::GateLib::nct(opts.get_parse("n", 4)?))?;
     let synth = Synthesizer::new(tables_from(opts, 4)?);
     let wires = synth.wires();
     let max_size = synth.max_size();
@@ -1861,34 +1791,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_and_depth_commands_end_to_end() {
-        let cost: Vec<String> = [
-            "cost",
-            "--spec",
-            "1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14",
-            "--n",
-            "4",
-            "--budget",
-            "3",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        assert!(dispatch(&cost).is_ok());
-        let depth: Vec<String> = [
-            "depth",
-            "--spec",
-            "1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14",
-            "--max-depth",
-            "1",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        assert!(dispatch(&depth).is_ok());
-    }
-
-    #[test]
     fn synth_and_random_accept_cost_models() {
         let quantum: Vec<String> = [
             "synth",
@@ -1944,6 +1846,84 @@ mod tests {
         .map(|s| (*s).to_owned())
         .collect();
         assert!(dispatch(&bogus).is_err(), "unknown cost model rejected");
+    }
+
+    /// Splits a command line on whitespace into dispatcher arguments.
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn removed_duplicate_commands_are_unknown() {
+        // bfs ≡ tables generate, cost ≡ synth --cost quantum|gates,
+        // depth ≡ synth --cost depth.
+        for command in ["bfs", "cost", "depth"] {
+            let err = dispatch(&words(command)).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                format!("unknown command `{command}`; try `revsynth help`")
+            );
+        }
+    }
+
+    #[test]
+    fn cost_budgets_past_the_engine_bounds_are_errors() {
+        // One past each bound the engines assert; every case fails
+        // before a table is generated or a port bound.
+        let spec = "1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14";
+        for (model, budget, needle) in [
+            ("depth", 17, "maximum of 16"),
+            ("quantum", 32, "largest budget is 31"),
+            ("quantum", 201, "largest budget is 31"),
+        ] {
+            let line = format!("synth --spec {spec} --cost {model} --cost-budget {budget}");
+            let err = dispatch(&words(&line)).unwrap_err().to_string();
+            assert!(err.starts_with("--cost-budget"), "{err}");
+            assert!(err.contains(needle), "{err}");
+        }
+        for (model, budget) in [("depth", 17), ("quantum", 32), ("quantum", 201)] {
+            let line = format!("serve --port 0 --{model}-budget {budget}");
+            let err = dispatch(&words(&line)).unwrap_err().to_string();
+            assert!(err.starts_with(&format!("{model} budget")), "{err}");
+        }
+    }
+
+    #[test]
+    fn cost_budgets_at_the_engine_bounds_are_served() {
+        // The bounds themselves are accepted; 2 wires keep the engines
+        // tiny even at depth 16 and quantum budget 31.
+        for (model, budget) in [("depth", 16), ("quantum", 31)] {
+            let line = format!("synth --n 2 --spec 1,0,3,2 --cost {model} --cost-budget {budget}");
+            assert!(dispatch(&words(&line)).is_ok(), "{line}");
+        }
+        let port = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("free port")
+            .port();
+        let serve = words(&format!(
+            "serve --port {port} --n 2 --k 1 --quantum-budget 31 --depth-budget 16"
+        ));
+        let server = std::thread::spawn(move || dispatch(&serve).map_err(|e| e.to_string()));
+        for model in ["depth", "quantum"] {
+            // Retried while the server boots; a worker panic would keep
+            // answering with an error.
+            let query = words(&format!(
+                "query --port {port} --spec 1,0,3,2 --cost {model}"
+            ));
+            let answered = (0..200).any(|_| {
+                let ok = dispatch(&query).is_ok();
+                if !ok {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                }
+                ok || server.is_finished()
+            });
+            assert!(
+                answered && !server.is_finished(),
+                "{model} query at the bound"
+            );
+        }
+        assert!(dispatch(&words(&format!("query --port {port} --shutdown"))).is_ok());
+        assert_eq!(server.join().expect("serve thread"), Ok(()));
     }
 
     #[test]
@@ -2261,6 +2241,29 @@ mod tests {
             dispatch(&to_args(&["tables", "verify", "--store", "/nonexistent/x"])).is_err(),
             "missing store"
         );
+        // A weighted budget past the bucket bound fails before the store
+        // is created or touched.
+        let store = std::env::temp_dir().join(format!(
+            "revsynth-cli-budget-test-{}.rvtab",
+            std::process::id()
+        ));
+        let path = store.to_string_lossy().into_owned();
+        let generate = |budget: &str| {
+            dispatch(&to_args(&[
+                "tables", "generate", "--out", &path, "--n", "3", "--model", "quantum", "--budget",
+                budget,
+            ]))
+        };
+        let err = generate("32").unwrap_err().to_string();
+        assert!(err.starts_with("--budget"), "{err}");
+        assert!(!store.exists());
+        assert!(generate("3").is_ok());
+        let before = std::fs::read(&store).expect("store written");
+        let extend = to_args(&["tables", "extend", "--store", &path, "--budget", "32"]);
+        let err = dispatch(&extend).unwrap_err().to_string();
+        assert!(err.starts_with("--budget"), "{err}");
+        assert_eq!(std::fs::read(&store).expect("store kept"), before);
+        std::fs::remove_file(&store).ok();
     }
 
     #[test]

@@ -56,16 +56,19 @@ pub struct DepthSynthesizer {
 }
 
 impl DepthSynthesizer {
+    /// The deepest layer budget [`generate`](Self::generate) accepts (no
+    /// 4-bit function needs anywhere near 16 layers).
+    pub const MAX_DEPTH: usize = 16;
+
     /// Runs the layer-alphabet breadth-first search to depth `max_depth`.
     ///
     /// # Panics
     ///
-    /// Panics if `max_depth > 16` (no 4-bit function needs anywhere near
-    /// 16 layers).
+    /// Panics if `max_depth >` [`MAX_DEPTH`](Self::MAX_DEPTH).
     #[must_use]
     pub fn generate(lib: GateLib, max_depth: usize) -> Self {
         assert!(
-            max_depth <= 16,
+            max_depth <= Self::MAX_DEPTH,
             "max_depth {max_depth} is beyond any reachable depth"
         );
         let n = lib.wires();

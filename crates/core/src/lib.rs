@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cost;
 mod depth;
 mod error;
 mod peephole;
@@ -62,7 +61,6 @@ pub mod search;
 mod suite;
 mod synth;
 
-pub use cost::CostSynthesizer;
 pub use depth::DepthSynthesizer;
 pub use error::SynthesisError;
 pub use peephole::PeepholeOptimizer;

@@ -24,7 +24,7 @@ use std::sync::OnceLock;
 
 use revsynth_bfs::SearchTables;
 use revsynth_canon::Symmetries;
-use revsynth_circuit::{CostKind, CostModel};
+use revsynth_circuit::{CostKind, CostModel, GateLib};
 use revsynth_perm::Perm;
 
 use crate::depth::DepthSynthesizer;
@@ -46,6 +46,31 @@ pub struct SuiteConfig {
     pub quantum_budget: u64,
     /// Depth generation budget (layers).
     pub depth_budget: usize,
+}
+
+impl SuiteConfig {
+    /// Checks both budgets against the bounds their engines assert when
+    /// built on `lib`: the quantum budget as
+    /// [`SearchTables::check_weighted_budget`] (at most 31 on NCT), the
+    /// depth budget at most [`DepthSynthesizer::MAX_DEPTH`]. The engines
+    /// are built lazily, so a server validates here, before it boots,
+    /// rather than panicking on the first query of that model.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the budget that breaks its bound.
+    pub fn validate(&self, lib: &GateLib) -> Result<(), String> {
+        SearchTables::check_weighted_budget(lib, &CostModel::quantum(), self.quantum_budget)
+            .map_err(|e| format!("quantum budget: {e}"))?;
+        if self.depth_budget > DepthSynthesizer::MAX_DEPTH {
+            return Err(format!(
+                "depth budget: {} layers is above the maximum of {}",
+                self.depth_budget,
+                DepthSynthesizer::MAX_DEPTH
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for SuiteConfig {

@@ -471,6 +471,9 @@ impl Scheduler {
         });
         let workers = (0..workers)
             .map(|home| {
+                // Counted live before the thread exists, so a health probe
+                // right after construction sees the full pool.
+                inner.live_workers.fetch_add(1, Ordering::Relaxed);
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || supervised_worker(&inner, home))
             })
@@ -738,9 +741,9 @@ impl fmt::Debug for Scheduler {
 /// pool recovers to full strength without outside intervention. The
 /// batch the panicking worker had drained has already been answered by
 /// its [`DrainGuard`] during unwinding — no waiter is stranded. Exits
-/// only when the loop returns cleanly (shutdown).
+/// only when the loop returns cleanly (shutdown). The spawner counts the
+/// worker live; it is uncounted here on exit.
 fn supervised_worker(inner: &Inner, home: usize) {
-    inner.live_workers.fetch_add(1, Ordering::Relaxed);
     loop {
         let run =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker_loop(inner, home)));
@@ -1490,6 +1493,16 @@ mod tests {
         assert_eq!(counters.worker_restarts, 1, "{counters:?}");
         assert_eq!(plan.injected().panics, 1);
         assert_eq!(sched.live_workers(), 1, "pool self-healed to strength");
+        sched.shutdown();
+        assert_eq!(sched.live_workers(), 0);
+    }
+
+    #[test]
+    fn every_worker_is_live_as_soon_as_the_scheduler_exists() {
+        let suite = Arc::new(test_suite());
+        let cache = Arc::new(ClassCache::new(16));
+        let sched = Scheduler::new(suite, cache, 3, SearchOptions::new().threads(1));
+        assert_eq!(sched.live_workers(), 3, "no wait for the threads to start");
         sched.shutdown();
         assert_eq!(sched.live_workers(), 0);
     }

@@ -4,13 +4,27 @@
 use std::sync::OnceLock;
 
 use revsynth::analysis::TestSet;
+use revsynth::bfs::SearchTables;
 use revsynth::circuit::{real, Circuit, CostModel, GateLib};
-use revsynth::core::{CostSynthesizer, DepthSynthesizer, PeepholeOptimizer, Synthesizer};
+use revsynth::core::{DepthSynthesizer, PeepholeOptimizer, Synthesizer};
 use revsynth::specs::{benchmark, benchmarks};
 
 fn synth_k4() -> &'static Synthesizer {
     static S: OnceLock<Synthesizer> = OnceLock::new();
     S.get_or_init(|| Synthesizer::from_scratch(4, 4))
+}
+
+/// The quantum-cost engine over cost-bucketed tables settled to cost 13
+/// (every single gate, TOF4 included); its reach is 2·13 − 12 = 14.
+fn quantum_synth() -> &'static Synthesizer {
+    static S: OnceLock<Synthesizer> = OnceLock::new();
+    S.get_or_init(|| {
+        Synthesizer::new(SearchTables::generate_weighted(
+            GateLib::nct(4),
+            CostModel::quantum(),
+            13,
+        ))
+    })
 }
 
 #[test]
@@ -22,8 +36,9 @@ fn rd32_is_cheapest_and_shallowest_of_its_kind() {
     let model = CostModel::quantum();
     let paper_circuit = rd32.paper_circuit().expect("parses");
 
-    let cost_synth = CostSynthesizer::generate(GateLib::nct(4), model, 14);
-    let cheap = cost_synth.synthesize(rd32.perm()).expect("within budget");
+    let cost_synth = quantum_synth();
+    assert!(cost_synth.tables().cost_reach() >= paper_circuit.cost(&model));
+    let cheap = cost_synth.synthesize(rd32.perm()).expect("within reach");
     assert!(cheap.cost(&model) <= paper_circuit.cost(&model));
     assert_eq!(cheap.perm(4), rd32.perm());
 
@@ -103,13 +118,17 @@ fn nearest_neighbor_synthesis_is_exact_up_to_relabeling() {
 fn cost_depth_and_size_agree_on_easy_functions() {
     // For single gates: size 1; depth 1; cost = the gate's own cost.
     let model = CostModel::quantum();
-    let cost_synth = CostSynthesizer::generate(GateLib::nct(4), model, 13);
+    let cost_synth = quantum_synth();
     let depth_synth = DepthSynthesizer::generate(GateLib::nct(4), 2);
     let size_synth = synth_k4();
-    for (_, gate, p) in GateLib::nct(4).iter() {
+    let lib = GateLib::nct(4);
+    let costliest = lib.iter().map(|(_, g, _)| model.gate_cost(g)).max();
+    assert!(Some(cost_synth.tables().cost_reach()) >= costliest);
+    for (_, gate, p) in lib.iter() {
         assert_eq!(size_synth.size(p).ok(), Some(1), "{gate}");
         assert_eq!(depth_synth.depth_of(p), Some(1), "{gate}");
-        assert_eq!(cost_synth.cost_of(p), Some(model.gate_cost(gate)), "{gate}");
+        let cost = model.gate_cost(gate);
+        assert_eq!(cost_synth.size(p).ok(), Some(cost as usize), "{gate}");
     }
 }
 
